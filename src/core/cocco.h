@@ -72,8 +72,8 @@ struct CoccoResult
 };
 
 /** Copy a result's optional portfolio / pareto blocks into a metrics
- *  record (shared by the CLI's --metrics-out and the serve API's
- *  metricsJson, so both emit the same schema). @p paretoMode gates
+ *  record (the spec runner's runMetrics, core/runner.h, and the bench
+ *  harnesses, so all emit the same schema). @p paretoMode gates
  *  the pareto block: an empty frontier from a pareto run is still a
  *  reportable (degenerate) frontier, while non-pareto runs omit the
  *  block entirely. */

@@ -502,10 +502,9 @@ scheduleResultToJson(ScheduleCostModel &model, const ScheduleResult &r)
 }
 
 void
-fillTenantMetrics(const ScheduleCostModel &model, const ScheduleResult &r,
+fillTenantMetrics(const WorkloadSet &set, const ScheduleResult &r,
                   RunMetrics *m)
 {
-    const WorkloadSet &set = model.set();
     if (static_cast<int>(r.cost.tenants.size()) != set.size() ||
         static_cast<int>(r.schedule.coreOf.size()) != set.size())
         return;

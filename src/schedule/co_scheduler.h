@@ -183,10 +183,10 @@ std::string scheduleResultToJson(ScheduleCostModel &model,
 
 struct RunMetrics;
 
-/** Fill @p m's "tenants" metrics block from an evaluated result
+/** Fill @p m's "tenants" metrics block from a result over @p set
  *  (no-op when the result carries no evaluated schedule). */
-void fillTenantMetrics(const ScheduleCostModel &model,
-                       const ScheduleResult &r, RunMetrics *m);
+void fillTenantMetrics(const WorkloadSet &set, const ScheduleResult &r,
+                       RunMetrics *m);
 
 /**
  * Render the schedule: one utilization lane per core with its

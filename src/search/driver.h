@@ -56,10 +56,11 @@ class JsonValue;
  * model with parameters, or a Graph JSON file) and `platform` where
  * to run it (a named preset, a platform JSON file, or an inline
  * configuration), so one JSON document fully describes a run. Both
- * are addresses, not resolved objects — the frontend resolves them
- * via resolveWorkload()/resolvePlatform() (core/serialize.h) before
- * constructing the evaluation environment; an explicit workload
- * batch (>= 1, including 1) overrides the platform's at that point.
+ * are addresses, not resolved objects — the spec runner's
+ * prepareRun() (core/runner.h) resolves them via resolveWorkload() /
+ * resolvePlatform() (core/serialize.h) before constructing the
+ * evaluation environment; an explicit workload batch (>= 1,
+ * including 1) overrides the platform's at that point.
  *
  * Deployment: `deployment` optionally scales the run out over
  * crossbar-connected cores (a preset, a file, or an inline

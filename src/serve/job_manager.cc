@@ -4,10 +4,7 @@
 #include <atomic>
 #include <chrono>
 
-#include "core/cocco.h"
-#include "core/metrics.h"
-#include "core/serialize.h"
-#include "schedule/co_scheduler.h"
+#include "core/runner.h"
 #include "util/thread_pool.h"
 
 namespace cocco {
@@ -79,23 +76,10 @@ struct JobManager::Job
     double progressBest = 0.0;
     std::string error;
 
-    /** The resolved workload; owned here because CoccoFramework and
-     *  resultToJson both take the graph by reference. */
-    Graph graph;
-    std::string modelName;
+    std::string modelName; ///< RunEnv::model once resolved
 
-    CoccoResult result;
+    RunOutcome outcome; ///< the runner's result (valid when hasResult)
     bool hasResult = false;
-    double wallSeconds = 0.0;
-
-    /** Co-schedule jobs (workload_set specs): the result document and
-     *  the metrics "tenants" snapshot are materialized when the run
-     *  completes, so nothing schedule-sized has to outlive it. The
-     *  scalar outcome (samples/objective/stop/cacheStats) is folded
-     *  into `result` above so status/events need no second path. */
-    bool hasSchedule = false;
-    std::string scheduleJson;
-    RunMetrics scheduleMetrics;
 
     std::vector<JobEvent> events;
 };
@@ -222,49 +206,11 @@ JobManager::submit(const SearchSpec &spec, const std::string &tenant,
         return -1;
     };
 
-    // Structural admission checks: anything a driver would abort on
-    // must be shed here, before it can take down a worker thread.
-    if (!SearcherRegistry::instance().contains(spec.algo))
-        return reject("unknown algorithm \"" + spec.algo + "\"");
-    if (spec.eval.sampleBudget < 1)
-        return reject("sample budget must be >= 1");
-    if (spec.workloadSet.enabled()) {
-        std::string why;
-        if (!validateWorkloadSet(spec.workloadSet, &why))
-            return reject(why);
-    } else if (spec.workload.model.empty() && spec.workload.file.empty()) {
-        return reject("spec addresses no workload (model or file)");
-    }
-    if (spec.algo == "ga" &&
-        (spec.ga.population < 2 || spec.ga.tournament < 1))
-        return reject("degenerate GA parameters (population >= 2, "
-                      "tournament >= 1)");
-    if (spec.algo == "sa" && spec.sa.neighborBatch < 1)
-        return reject("degenerate SA parameters (neighborBatch >= 1)");
-    if ((spec.algo == "ts-random" || spec.algo == "ts-grid") &&
-        (spec.twoStep.population < 2 || spec.twoStep.samplesPerCandidate < 1))
-        return reject("degenerate two-step parameters (population >= 2, "
-                      "samplesPerCandidate >= 1)");
-    if (spec.algo == "portfolio") {
-        if (spec.portfolio.racers.empty())
-            return reject("portfolio needs at least one racer");
-        const std::vector<std::string> &racers = spec.portfolio.racers;
-        for (size_t i = 0; i < racers.size(); ++i) {
-            const std::string &r = racers[i];
-            if (r == "portfolio")
-                return reject("a portfolio cannot race itself");
-            if (!SearcherRegistry::instance().contains(r))
-                return reject("unknown portfolio racer \"" + r + "\"");
-            for (size_t j = 0; j < i; ++j)
-                if (racers[j] == r)
-                    return reject("duplicate portfolio racer \"" + r +
-                                  "\"");
-        }
-        if (spec.portfolio.checkEvals < 1 ||
-            spec.portfolio.warmupEvals < 0)
-            return reject("degenerate portfolio parameters (checkEvals "
-                          ">= 1, warmupEvals >= 0)");
-    }
+    // Anything a driver would abort on is shed here, before it can
+    // take down a worker thread.
+    std::string why;
+    if (!checkRunSpec(spec, &why))
+        return reject(why);
 
     std::lock_guard<std::mutex> lk(mu_);
     if (shutdown_.load(std::memory_order_relaxed))
@@ -394,9 +340,7 @@ JobManager::resultJson(int64_t id) const
     const Job *job = findLocked(id);
     if (!job || !jobStateTerminal(job->state) || !job->hasResult)
         return "";
-    if (job->hasSchedule)
-        return job->scheduleJson;
-    return resultToJson(job->graph, job->result);
+    return job->outcome.resultJson;
 }
 
 std::string
@@ -407,30 +351,9 @@ JobManager::metricsJson(int64_t id) const
     if (!job || !jobStateTerminal(job->state) || !job->hasResult)
         return "";
 
-    // Mirrors the CLI's emitMetrics for a spec run ("spec-<algo>"),
-    // plus the serving context in the "job" block.
-    RunMetrics m;
-    m.name = "spec-" + job->spec.algo;
-    m.model = job->modelName;
-    m.threads = job->threads;
-    m.seed = job->spec.eval.seed;
-    m.samples = job->result.samples;
-    m.bestCost = job->result.objective;
-    m.wallSeconds = job->wallSeconds;
-    m.cacheEnabled = cache_ != nullptr && job->spec.eval.cacheEnabled;
-    m.cache = job->result.cacheStats;
-    // Co-schedule jobs report per-tenant serving metrics instead of a
-    // single-result deployment breakdown.
-    m.hasDeployment = !job->hasSchedule;
-    m.deployment = job->result.deployment;
-    if (job->hasSchedule) {
-        m.hasTenants = job->scheduleMetrics.hasTenants;
-        m.slaViolations = job->scheduleMetrics.slaViolations;
-        m.meanLatencyMs = job->scheduleMetrics.meanLatencyMs;
-        m.tenants = job->scheduleMetrics.tenants;
-    }
-    if (!job->hasSchedule)
-        fillResultMetrics(job->result, job->spec.paretoMode, &m);
+    // The `cocco run` record ("spec-<algo>") plus the serving context
+    // in the "job" block.
+    RunMetrics m = runMetrics(job->outcome, "spec-" + job->spec.algo);
     m.hasJob = true;
     m.jobId = job->id;
     m.tenant = job->tenant;
@@ -526,128 +449,36 @@ JobManager::workerLoop()
 void
 JobManager::runJob(Job &job)
 {
-    auto t0 = Clock::now();
-
-    // Exactly the CLI's `run` execution path (tools/cocco_cli.cc
-    // runSpec), so a served job is bit-identical to the solo run:
-    // resolve workload and platform, apply the workload batch
-    // override, scale out over the deployment when enabled.
+    // The one spec runner (core/runner.h) that `cocco run` uses, so a
+    // served job is bit-identical to the solo run. The granted thread
+    // count cannot change the result, only its speed.
     SearchSpec spec = job.spec;
     spec.eval.threads = job.threads;
-
+    spec.eval.cache = spec.eval.cacheEnabled ? cache_ : nullptr;
     JobObserver observer(mu_, cv_, job, shutdown_, &pushEvent);
     spec.eval.observer = &observer;
 
-    if (cache_ && spec.eval.cacheEnabled) {
-        spec.eval.cache = cache_;
-    } else {
-        spec.eval.cacheEnabled = false;
-        spec.eval.cache = nullptr;
-    }
-
+    RunEnv env;
     std::string err;
-
-    // A workload_set spec runs the co-scheduler instead of the solo
-    // framework; the branch mirrors the CLI's coschedule path.
-    if (spec.workloadSet.enabled()) {
-        std::vector<Graph> graphs(spec.workloadSet.size());
-        std::string names;
-        for (int t = 0; t < spec.workloadSet.size(); ++t) {
-            if (!resolveWorkload(spec.workloadSet.tenants[t].workload,
-                                 &graphs[t], &err)) {
-                finishJob(job, JobState::Failed, err);
-                return;
-            }
-            names += (t ? "+" : "") + graphs[t].name();
-        }
-        AcceleratorConfig accel;
-        if (!resolvePlatform(spec.platform, &accel, &err)) {
-            finishJob(job, JobState::Failed, err);
-            return;
-        }
-        DeploymentConfig dep;
-        if (spec.deployment.enabled) {
-            if (!resolveDeployment(spec.deployment, accel, &dep, &err)) {
-                finishJob(job, JobState::Failed, err);
-                return;
-            }
-        } else {
-            dep = homogeneousDeployment(accel, 1);
-        }
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            job.modelName = names;
-        }
-
-        CoScheduler sched(graphs, spec.workloadSet, dep);
-        ScheduleResult r = sched.explore(spec);
-        double wall = secondsBetween(t0, Clock::now());
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            job.scheduleJson = scheduleResultToJson(sched.model(), r);
-            fillTenantMetrics(sched.model(), r, &job.scheduleMetrics);
-            job.hasSchedule = true;
-            job.result.samples = r.samples;
-            job.result.objective = r.objective;
-            job.result.stop = r.stop;
-            job.result.cacheStats = r.cacheStats;
-            job.hasResult = true;
-            job.wallSeconds = wall;
-        }
-        finishJob(job,
-                  r.stop == StopReason::Cancelled ? JobState::Cancelled
-                                                  : JobState::Done,
-                  "");
-        return;
-    }
-
-    Graph g;
-    if (!resolveWorkload(spec.workload, &g, &err)) {
+    if (!prepareRun(spec, &env, &err)) {
         finishJob(job, JobState::Failed, err);
         return;
     }
-    AcceleratorConfig accel;
-    if (!resolvePlatform(spec.platform, &accel, &err)) {
-        finishJob(job, JobState::Failed, err);
-        return;
-    }
-    if (spec.workload.params.batch > 0)
-        accel.batch = spec.workload.params.batch;
-
     {
         std::lock_guard<std::mutex> lk(mu_);
-        job.graph = std::move(g);
-        job.modelName = job.graph.name();
+        job.modelName = env.model;
     }
 
-    std::unique_ptr<CoccoFramework> cocco;
-    if (spec.deployment.enabled) {
-        DeploymentConfig dep;
-        if (!resolveDeployment(spec.deployment, accel, &dep, &err)) {
-            finishJob(job, JobState::Failed, err);
-            return;
-        }
-        if (spec.workload.params.batch > 0)
-            for (AcceleratorConfig &core : dep.coreConfigs)
-                core.batch = spec.workload.params.batch;
-        cocco = std::make_unique<CoccoFramework>(job.graph, dep);
-    } else {
-        cocco = std::make_unique<CoccoFramework>(job.graph, accel);
-    }
-
-    CoccoResult r = cocco->explore(spec);
-    double wall = secondsBetween(t0, Clock::now());
-
+    RunOutcome out = executeRun(env, spec);
+    StopReason stop = out.stop;
     {
         std::lock_guard<std::mutex> lk(mu_);
-        job.result = std::move(r);
+        job.outcome = std::move(out);
         job.hasResult = true;
-        job.wallSeconds = wall;
     }
     finishJob(job,
-              job.result.stop == StopReason::Cancelled
-                  ? JobState::Cancelled
-                  : JobState::Done,
+              stop == StopReason::Cancelled ? JobState::Cancelled
+                                            : JobState::Done,
               "");
 }
 
@@ -668,9 +499,9 @@ JobManager::finishJob(Job &job, JobState state, const std::string &error)
     } else {
         e.kind = state == JobState::Cancelled ? JobEvent::Kind::Cancelled
                                               : JobEvent::Kind::Done;
-        e.sample = job.hasResult ? job.result.samples : 0;
-        e.bestCost = job.hasResult ? job.result.objective : 0.0;
-        e.stop = job.hasResult ? job.result.stop : StopReason::Cancelled;
+        e.sample = job.hasResult ? job.outcome.samples : 0;
+        e.bestCost = job.hasResult ? job.outcome.objective : 0.0;
+        e.stop = job.hasResult ? job.outcome.stop : StopReason::Cancelled;
     }
     pushEventLocked(job, std::move(e));
     cv_.notify_all();

@@ -7,10 +7,10 @@
  * process" shape ROADMAP item 1 asks for.
  *
  * Admission control: submit() rejects (rather than queues) when the
- * spec is structurally unrunnable (unknown algorithm, degenerate
- * knobs that would abort a driver) or when the pending queue is at
- * capacity — a long-lived server must shed load at the front door,
- * not die mid-run.
+ * spec is structurally unrunnable (checkRunSpec: unknown algorithm,
+ * degenerate knobs that would abort a driver) or when the pending
+ * queue is at capacity — a long-lived server must shed load at the
+ * front door, not die mid-run.
  *
  * Thread budgets: the manager owns a total evaluation-thread budget
  * (defaults to the hardware concurrency). Each job asks for
@@ -22,10 +22,11 @@
  * results (the engine's determinism contract), so a job granted fewer
  * threads than requested returns bit-identical output, just slower.
  *
- * Results: resultJson() returns the same resultToJson document `cocco
- * run` writes, and metricsJson() the same schema-v1 metrics document
- * plus the "job" block — the bit-identity contract the serve bench
- * and CI smoke verify.
+ * Results: each job runs through the library's spec runner
+ * (core/runner.h), the one `cocco run` uses, so resultJson() is the
+ * document `cocco run --json` prints and metricsJson() the record
+ * `--metrics-out` writes plus the "job" block — the bit-identity
+ * contract the serve bench and CI smoke verify.
  */
 
 #ifndef COCCO_SERVE_JOB_MANAGER_H

@@ -27,10 +27,11 @@
  *     {"cmd":"shutdown"}
  *   Every reply carries "ok":true/false; errors add "error".
  *
- * Both front ends parse specs with parseRunSpecText(), which applies
- * the same partition-only default buffer as `cocco run` before
- * searchSpecFromJson — the service must interpret a spec document
- * byte-for-byte like the solo CLI for the bit-identity contract.
+ * Both front ends parse specs with parseRunSpec() / parseRunSpecText(),
+ * the parser `cocco run` and `cocco coschedule` use too, and the
+ * JobManager runs them through the library's spec runner
+ * (core/runner.h), so a served job is bit-identical to the solo run
+ * of the same document.
  */
 
 #ifndef COCCO_SERVE_SERVICE_H
@@ -47,9 +48,10 @@ namespace cocco {
 
 class JsonValue;
 
-/** Parse a run-spec document exactly as `cocco run --spec` does
- *  (including the partition-only default buffer). @return false with
- *  *err set on any schema problem. */
+/** Parse a run-spec document (searchSpecFromJson; a partition-only
+ *  spec without "buffer" runs under BufferConfig's defaults). The
+ *  one spec parser of every front end. @return false with *err set
+ *  on any schema problem. */
 bool parseRunSpec(const JsonValue &doc, SearchSpec *spec,
                   std::string *err);
 

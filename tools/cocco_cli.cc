@@ -46,29 +46,34 @@
  *               --cache-size N (evaluation-cache entries; 0 disables),
  *               --cache-file F (persist/warm-start the cache),
  *               --metrics-out F (write a JSON run-metrics report)
+ * Malformed flag values (a non-numeric or negative count, an unknown
+ * --metric or --style) are usage errors.
  *
- * The search subcommands all dispatch through the SearcherRegistry,
- * workloads through the ModelRegistry (or Graph JSON import),
- * platforms through the PlatformRegistry (or platform JSON), and
- * scale-out through the DeploymentRegistry (or deployment JSON), so
- * new strategies, models, and presets registered at startup are
- * first-class citizens of every mode.
+ * One execution path: `partition` and `coexplore` build a SearchSpec
+ * from the flags, `run` and `coschedule` parse one with parseRunSpec,
+ * and all four hand it to runSearch(), which runs it through the
+ * library's spec runner (core/runner.h) — the same runner the
+ * `serve` / `batch` JobManager uses — and owns the cache file,
+ * --progress, --checkpoint, printing and --metrics-out. The CLI
+ * resolves nothing itself: workloads, platforms and deployments are
+ * addressed through the registries (or JSON files) by the runner.
  */
 
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
 
-#include "core/cocco.h"
-#include "core/metrics.h"
+#include "core/runner.h"
 #include "core/serialize.h"
-#include "schedule/co_scheduler.h"
 #include "serve/batch.h"
 #include "serve/events.h"
 #include "serve/http_server.h"
@@ -103,7 +108,7 @@ struct CliArgs
     std::string deploymentFile; ///< deployment JSON ("" = none)
     bool timeline = false;      ///< render the result's Gantt chart
     std::string algo = "ga";
-    std::string style = "shared";
+    BufferStyle style = BufferStyle::Shared;
     int64_t samples = 5000;
     double alpha = 0.002;
     Metric metric = Metric::Energy;
@@ -132,10 +137,11 @@ struct CliArgs
     std::string outDir;     ///< batch: output directory ("" = spec dir)
 };
 
-/** SIGINT latch for `run` / `batch` / `serve`: the first interrupt
- *  requests a cooperative stop (drivers cancel at the next batch
- *  boundary, partial metrics and checkpoints still flush); a second
- *  interrupt hard-exits — the escape hatch when a run is stuck. */
+/** SIGINT latch for the search commands and `batch` / `serve`: the
+ *  first interrupt requests a cooperative stop (drivers cancel at the
+ *  next batch boundary, partial metrics and checkpoints still flush);
+ *  a second interrupt hard-exits — the escape hatch when a run is
+ *  stuck. */
 std::atomic<bool> g_interrupted{false};
 
 extern "C" void
@@ -181,6 +187,39 @@ usage()
     std::exit(2);
 }
 
+[[noreturn]] void
+badValue(const char *flag, const char *value)
+{
+    std::fprintf(stderr, "cocco: bad value '%s' for %s\n", value, flag);
+    usage();
+}
+
+/** A decimal count in [lo, hi]; anything else (sign, junk, overflow)
+ *  is a usage error. */
+uint64_t
+countArg(const char *flag, const char *v, uint64_t hi = INT_MAX,
+         uint64_t lo = 0)
+{
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long n = std::strtoull(v, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(v[0])) || *end != '\0' ||
+        errno == ERANGE || n < lo || n > hi)
+        badValue(flag, v);
+    return n;
+}
+
+/** A finite non-negative real; anything else is a usage error. */
+double
+realArg(const char *flag, const char *v)
+{
+    char *end = nullptr;
+    double x = std::strtod(v, &end);
+    if (end == v || *end != '\0' || !(x >= 0.0) || x > 1e300)
+        badValue(flag, v);
+    return x;
+}
+
 CliArgs
 parse(int argc, char **argv)
 {
@@ -194,6 +233,7 @@ parse(int argc, char **argv)
     if (a.command != "models" && a.command != "run" &&
         a.command[0] != '-' && i < argc && argv[i][0] != '-')
         a.model = argv[i++];
+    constexpr uint64_t kInt64 = INT64_MAX;
     for (; i < argc; ++i) {
         std::string f = argv[i];
         auto next = [&]() -> const char * {
@@ -201,51 +241,54 @@ parse(int argc, char **argv)
                 usage();
             return argv[++i];
         };
+        auto count = [&](uint64_t hi = INT_MAX, uint64_t lo = 0) {
+            return countArg(f.c_str(), next(), hi, lo);
+        };
         if (f == "--algo")
             a.algo = next();
         else if (f == "--model-file")
             a.modelFile = next();
         else if (f == "--model-seed")
-            a.modelSeed = std::strtoull(next(), nullptr, 10);
+            a.modelSeed = count(UINT64_MAX);
         else if (f == "--platform")
             a.platform = next();
         else if (f == "--platform-file")
             a.platformFile = next();
-        else if (f == "--cores") {
-            // Strict: a zero/negative/garbage count silently meaning
-            // "no deployment" would fake a scale-out experiment.
-            const char *v = next();
-            a.cores = std::atoi(v);
-            if (a.cores < 1)
-                fatal("--cores must be a positive integer (got '%s')",
-                      v);
-        }
+        else if (f == "--cores")
+            // Strict: a zero count silently meaning "no deployment"
+            // would fake a scale-out experiment.
+            a.cores = static_cast<int>(count(INT_MAX, 1));
         else if (f == "--deployment")
             a.deployment = next();
         else if (f == "--deployment-file")
             a.deploymentFile = next();
         else if (f == "--timeline")
             a.timeline = true;
-        else if (f == "--style")
-            a.style = next();
+        else if (f == "--style") {
+            std::string v = next();
+            if (v != "shared" && v != "separate")
+                badValue("--style", v.c_str());
+            a.style =
+                v == "shared" ? BufferStyle::Shared : BufferStyle::Separate;
+        }
         else if (f == "--samples")
-            a.samples = std::atoll(next());
+            a.samples = static_cast<int64_t>(count(kInt64));
         else if (f == "--alpha")
-            a.alpha = std::atof(next());
+            a.alpha = realArg("--alpha", next());
         else if (f == "--seed")
-            a.seed = std::strtoull(next(), nullptr, 10);
+            a.seed = count(UINT64_MAX);
         else if (f == "--runs")
-            a.runs = std::atoi(next());
+            a.runs = static_cast<int>(count());
         else if (f == "--threads")
-            a.threads = std::atoi(next());
+            a.threads = static_cast<int>(count());
         else if (f == "--neighbor-batch")
-            a.neighborBatch = std::atoi(next());
+            a.neighborBatch = static_cast<int>(count());
         else if (f == "--time-limit")
-            a.timeLimitSec = std::atof(next());
+            a.timeLimitSec = realArg("--time-limit", next());
         else if (f == "--stall-limit")
-            a.stallLimit = std::atoll(next());
+            a.stallLimit = static_cast<int64_t>(count(kInt64));
         else if (f == "--cache-size")
-            a.cacheSize = std::atoll(next());
+            a.cacheSize = static_cast<int64_t>(count(kInt64));
         else if (f == "--cache-file")
             a.cacheFile = next();
         else if (f == "--metrics-out")
@@ -263,18 +306,21 @@ parse(int argc, char **argv)
         else if (f == "--stdio")
             a.stdio = true;
         else if (f == "--port")
-            a.port = std::atoi(next());
+            a.port = static_cast<int>(count(65535));
         else if (f == "--serve-workers")
-            a.serveWorkers = std::atoi(next());
+            a.serveWorkers = static_cast<int>(count());
         else if (f == "--serve-queue")
-            a.serveQueue = std::atoi(next());
+            a.serveQueue = static_cast<int>(count());
         else if (f == "--jobs")
-            a.jobs = std::atoi(next());
+            a.jobs = static_cast<int>(count());
         else if (f == "--out")
             a.outDir = next();
-        else if (f == "--metric")
-            a.metric = std::string(next()) == "ema" ? Metric::EMA
-                                                    : Metric::Energy;
+        else if (f == "--metric") {
+            std::string v = next();
+            if (v != "ema" && v != "energy")
+                badValue("--metric", v.c_str());
+            a.metric = v == "ema" ? Metric::EMA : Metric::Energy;
+        }
         else if (f == "--json")
             a.json = true;
         else if (f == "--no-prune")
@@ -285,148 +331,33 @@ parse(int argc, char **argv)
     return a;
 }
 
-/** The workload addressed by the CLI flags: a registry model (with
- *  --model-seed) or an imported Graph JSON (--model-file). Updates
- *  a.model to the graph's name for reports/metrics. */
-Graph
-cliWorkload(CliArgs &a)
-{
-    if (!a.modelFile.empty()) {
-        if (!a.model.empty())
-            fatal("give a model name or --model-file, not both");
-        Graph g;
-        std::string err;
-        if (!loadGraphJson(a.modelFile, &g, &err))
-            fatal("%s", err.c_str());
-        a.model = g.name();
-        return g;
-    }
-    if (a.model.empty())
-        usage();
-    ModelParams params;
-    params.seed = a.modelSeed;
-    return buildModel(a.model, params);
-}
-
-/** The platform addressed by the CLI flags (--platform /
- *  --platform-file; default: the "simba" preset). */
-AcceleratorConfig
-cliPlatform(const CliArgs &a)
-{
-    PlatformSpec spec;
-    spec.preset = a.platform;
-    spec.file = a.platformFile;
-    AcceleratorConfig accel;
-    std::string err;
-    if (!resolvePlatform(spec, &accel, &err))
-        fatal("%s", err.c_str());
-    return accel;
-}
-
-/** The deployment addressed by the CLI flags (--cores /
- *  --deployment / --deployment-file); disabled when none given.
- *  resolveDeployment rejects combinations ("not several"). */
-DeploymentSpec
-cliDeploymentSpec(const CliArgs &a)
-{
-    DeploymentSpec spec;
-    if (a.cores != 0) {
-        spec.enabled = true;
-        spec.inlineDesc = true;
-        spec.desc.cores = a.cores;
-    }
-    if (!a.deployment.empty()) {
-        spec.enabled = true;
-        spec.preset = a.deployment;
-    }
-    if (!a.deploymentFile.empty()) {
-        spec.enabled = true;
-        spec.file = a.deploymentFile;
-    }
-    return spec;
-}
-
-/** The one resolve-or-die path every CLI mode funnels through:
- *  resolve @p dspec against the run's platform (fatal with @p ctx
- *  prefixed on any problem) and apply an optional workload batch
- *  override to every core (a batch is a property of the run). */
-DeploymentConfig
-cliResolveDeployment(const DeploymentSpec &dspec,
-                     const AcceleratorConfig &accel, const char *ctx,
-                     int batch_override = 0)
-{
-    DeploymentConfig dep;
-    std::string err;
-    if (!resolveDeployment(dspec, accel, &dep, &err))
-        fatal("%s%s", ctx, err.c_str());
-    if (batch_override > 0)
-        for (AcceleratorConfig &core : dep.coreConfigs)
-            core.batch = batch_override;
-    return dep;
-}
-
-/** The evaluation environment for (workload, platform, deployment):
- *  a plain CostModel, or the composed DeploymentCostModel when a
- *  deployment is in play. */
-std::unique_ptr<CostModel>
-makeModel(const Graph &g, const AcceleratorConfig &accel,
-          const DeploymentSpec &dspec)
-{
-    if (!dspec.enabled)
-        return std::make_unique<CostModel>(g, accel);
-    return std::make_unique<DeploymentCostModel>(
-        g, cliResolveDeployment(dspec, accel, ""));
-}
-
-/** The framework over the same environment. */
-std::unique_ptr<CoccoFramework>
-makeFramework(const Graph &g, const AcceleratorConfig &accel,
-              const DeploymentSpec &dspec, const char *ctx = "",
-              int batch_override = 0)
-{
-    if (!dspec.enabled)
-        return std::make_unique<CoccoFramework>(g, accel);
-    return std::make_unique<CoccoFramework>(
-        g, cliResolveDeployment(dspec, accel, ctx, batch_override));
-}
-
-/** Human-mode stdout summary of a multi-core run's scale-out (silent
- *  for a single core, so plain runs print exactly what they always
- *  did). */
-void
-printDeploymentLine(const DeploymentBreakdown &b)
-{
-    if (b.cores <= 1)
-        return;
-    double util = 0.0;
-    for (double u : b.coreUtilization)
-        util += u;
-    if (!b.coreUtilization.empty())
-        util /= static_cast<double>(b.coreUtilization.size());
-    std::printf("deployment: %d cores, avg utilization %.1f%%, crossbar "
-                "%.1f%% of energy / %.1f%% of latency\n",
-                b.cores, 100.0 * util, 100.0 * b.crossbarEnergyShare,
-                100.0 * b.crossbarLatencyShare);
-}
-
-/** --timeline: render the result's Gantt chart (per-core lanes on a
- *  deployment). Human mode only — --json output stays pure JSON. */
-void
-printTimeline(const CliArgs &a, CostModel &model, const Partition &p,
-              const BufferConfig &buf)
-{
-    if (!a.timeline || a.json)
-        return;
-    Timeline tl = buildTimeline(model, p, buf);
-    std::printf("timeline:\n%s", tl.gantt().c_str());
-}
-
-/** Spec assembled from plain CLI flags (partition/coexplore modes). */
+/** The run the plain flags describe: the workload (a registry model
+ *  with --model-seed, or --model-file), the platform, the deployment
+ *  (--cores / --deployment / --deployment-file; off when none) and
+ *  the search knobs. The runner rejects conflicting addresses. */
 SearchSpec
-specFromArgs(const CliArgs &a)
+specFromFlags(const CliArgs &a)
 {
+    if (a.model.empty() && a.modelFile.empty())
+        usage();
     SearchSpec spec;
+    spec.workload.model = a.model;
+    spec.workload.file = a.modelFile;
+    if (a.modelFile.empty())
+        spec.workload.params.seed = a.modelSeed;
+    spec.platform.preset = a.platform;
+    spec.platform.file = a.platformFile;
+    DeploymentSpec &dep = spec.deployment;
+    if (a.cores != 0) {
+        dep.inlineDesc = true;
+        dep.desc.cores = a.cores;
+    }
+    dep.preset = a.deployment;
+    dep.file = a.deploymentFile;
+    dep.enabled = dep.inlineDesc || !dep.preset.empty() || !dep.file.empty();
+
     spec.algo = a.algo;
+    spec.style = a.style;
     spec.eval.sampleBudget = a.samples;
     spec.eval.alpha = a.alpha;
     spec.eval.metric = a.metric;
@@ -435,19 +366,44 @@ specFromArgs(const CliArgs &a)
     spec.eval.timeLimitSec = a.timeLimitSec;
     spec.eval.stallLimit = a.stallLimit;
     spec.eval.pruning = a.pruning;
+    spec.eval.cacheCapacity = static_cast<size_t>(a.cacheSize);
     spec.sa.neighborBatch = a.neighborBatch;
     return spec;
 }
 
-/** Build the run's evaluation cache per the CLI knobs; warm-start
- *  from --cache-file when it exists. Null when caching is off. */
-std::shared_ptr<EvalCache>
-openCache(const CliArgs &a)
+/** Die on a spec problem, prefixed with the spec file if any. */
+[[noreturn]] void
+specError(const CliArgs &a, const std::string &err)
 {
-    if (a.cacheSize <= 0)
+    fatal("%s%s%s", a.specFile.c_str(), a.specFile.empty() ? "" : ": ",
+          err.c_str());
+}
+
+/** The run a --spec document describes (parsed exactly as the
+ *  exploration service parses a submitted spec). */
+SearchSpec
+specFromFile(const CliArgs &a)
+{
+    if (a.specFile.empty())
+        fatal("%s needs --spec FILE", a.command.c_str());
+    JsonValue doc;
+    SearchSpec spec;
+    std::string err;
+    if (!loadJsonFile(a.specFile, &doc, &err))
+        fatal("%s", err.c_str());
+    if (!parseRunSpec(doc, &spec, &err))
+        specError(a, err);
+    return spec;
+}
+
+/** The run's evaluation cache: @p capacity entries, warm-started from
+ *  --cache-file when it exists. Null when @p capacity is 0. */
+std::shared_ptr<EvalCache>
+openCache(const CliArgs &a, size_t capacity)
+{
+    if (capacity == 0)
         return nullptr;
-    auto cache =
-        std::make_shared<EvalCache>(static_cast<size_t>(a.cacheSize));
+    auto cache = std::make_shared<EvalCache>(capacity);
     if (!a.cacheFile.empty()) {
         int n = loadEvalCache(*cache, a.cacheFile);
         if (n >= 0)
@@ -475,59 +431,44 @@ closeCache(const CliArgs &a, const std::shared_ptr<EvalCache> &cache)
                      a.cacheFile.c_str());
 }
 
-/** Write the run's JSON metrics record (when --metrics-out given). */
+/** --checkpoint FILE: resume from the file when it exists (a corrupt
+ *  one is fatal, not a silent cold start: the user asked to resume),
+ *  persist the search state there when the run is cancelled or times
+ *  out. */
 void
-emitMetrics(const CliArgs &a, const std::string &name, double wall_seconds,
-            int64_t samples, double best_cost, bool cache_enabled,
-            const EvalCacheStats &stats,
-            const DeploymentBreakdown *dep = nullptr,
-            const CoccoResult *result = nullptr, bool pareto_mode = false)
+wireCheckpoint(const CliArgs &a, NdjsonProgress &progress,
+               CheckpointHooks *hooks, SearchCheckpoint *resume)
 {
-    if (a.metricsOut.empty())
-        return;
-    RunMetrics m;
-    m.name = name;
-    m.model = a.model;
-    m.threads = ThreadPool::resolveThreads(a.threads);
-    m.seed = a.seed;
-    m.samples = samples;
-    m.bestCost = best_cost;
-    m.wallSeconds = wall_seconds;
-    m.cacheEnabled = cache_enabled;
-    m.cache = stats;
-    if (dep) {
-        m.hasDeployment = true;
-        m.deployment = *dep;
+    if (std::FILE *probe = std::fopen(a.checkpointFile.c_str(), "r")) {
+        std::fclose(probe);
+        std::string err;
+        if (!loadCheckpoint(a.checkpointFile, resume, &err))
+            fatal("%s", err.c_str());
+        hooks->resume = resume;
+        std::fprintf(stderr,
+                     "checkpoint: resuming \"%s\" from %s at %lld samples\n",
+                     resume->algo.c_str(), a.checkpointFile.c_str(),
+                     static_cast<long long>(resume->samples));
     }
-    if (result)
-        fillResultMetrics(*result, pareto_mode, &m);
-    if (!writeMetricsFile(a.metricsOut, "cocco_cli", {m}))
-        std::fprintf(stderr, "error: could not write metrics to %s\n",
-                     a.metricsOut.c_str());
-}
-
-/** Human-mode stderr summary of a run's cache activity. */
-void
-printCacheLine(const EvalCacheStats &stats)
-{
-    std::fprintf(stderr, "cache: %llu/%llu evaluations served (%.1f%%)\n",
-                 static_cast<unsigned long long>(stats.hits),
-                 static_cast<unsigned long long>(stats.hits + stats.misses),
-                 100.0 * stats.hitRate());
-}
-
-/** Seconds elapsed since @p t0. */
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
+    hooks->save = [&a, &progress](const SearchCheckpoint &c) {
+        if (!saveCheckpoint(c, a.checkpointFile)) {
+            std::fprintf(stderr, "checkpoint: could not write %s\n",
+                         a.checkpointFile.c_str());
+            return;
+        }
+        std::fprintf(stderr, "checkpoint: saved %s at %lld samples\n",
+                     a.checkpointFile.c_str(),
+                     static_cast<long long>(c.samples));
+        JobEvent e;
+        e.kind = JobEvent::Kind::Checkpoint;
+        e.sample = c.samples;
+        progress.emit(e);
+    };
 }
 
 void
-printCost(const Graph &g, const GraphCost &c, const BufferConfig &buf,
-          double alpha, Metric metric)
+printCost(const GraphCost &c, const BufferConfig &buf, double alpha,
+          Metric metric)
 {
     Table t({"metric", "value"});
     t.addRow({"buffer", buf.str()});
@@ -539,30 +480,6 @@ printCost(const Graph &g, const GraphCost &c, const BufferConfig &buf,
     t.addRow({"peak BW", Table::fmtDouble(c.peakBwGBps, 2) + " GB/s"});
     t.addRow({"objective", Table::fmtSci(objective(c, buf, alpha, metric))});
     t.print();
-    (void)g;
-}
-
-/** Human-mode per-racer summary of a portfolio run. */
-void
-printRacerLines(const std::vector<RacerStats> &racers)
-{
-    for (const RacerStats &r : racers)
-        std::fprintf(stderr,
-                     "racer: %-10s %8lld evals  %5lld improvements  "
-                     "best %.6g  %s%s%s\n",
-                     r.algo.c_str(), static_cast<long long>(r.samples),
-                     static_cast<long long>(r.improvements), r.bestCost,
-                     stopReasonName(r.stop), r.culled ? " (culled)" : "",
-                     r.winner ? " <- winner" : "");
-}
-
-/** Human-mode one-liner for a pareto-mode frontier. */
-void
-printFrontierLine(const CoccoResult &r)
-{
-    std::fprintf(stderr,
-                 "frontier: %zu non-dominated points, hypervolume %.4f\n",
-                 r.frontier.size(), r.hypervolume);
 }
 
 /** Write a pareto-mode frontier to --frontier-out as CSV. */
@@ -585,294 +502,172 @@ emitFrontierCsv(const std::string &path, const CoccoResult &r)
                      path.c_str());
 }
 
-/** Early-stop note for human-mode output. */
-void
-printStopLine(StopReason stop)
+/** Which command a search came through: its human-mode headline and
+ *  its metrics name prefix. */
+enum class Front
 {
-    if (stop != StopReason::BudgetExhausted)
-        std::fprintf(stderr, "stopped early: %s\n", stopReasonName(stop));
+    Partition,
+    CoExplore,
+    Spec,
+    CoSchedule,
+};
+
+const char *
+frontPrefix(Front front)
+{
+    switch (front) {
+      case Front::Partition:
+        return "partition-";
+      case Front::CoExplore:
+        return "coexplore-";
+      case Front::Spec:
+        return "spec-";
+      case Front::CoSchedule:
+        return "coschedule-";
+    }
+    return "";
 }
 
-int
-runPartition(CliArgs &a)
+/** Human-mode report of a co-schedule run (stdout; notes on stderr). */
+void
+printSchedule(const SearchSpec &spec, ScheduleCostModel &model,
+              const RunOutcome &out)
 {
-    Graph g = cliWorkload(a);
-    AcceleratorConfig accel = cliPlatform(a);
-    DeploymentSpec dspec = cliDeploymentSpec(a);
-    std::unique_ptr<CostModel> model_ptr = makeModel(g, accel, dspec);
-    CostModel &model = *model_ptr;
-    BufferConfig buf;
-    buf.style = BufferStyle::Separate;
-    buf.actBytes = 1024 * 1024;
-    buf.weightBytes = 1152 * 1024;
+    const ScheduleResult &r = out.schedule;
+    std::printf("%s: %s placed %d tenant(s) on %d core(s) -> "
+                "%d SLA violation(s), mean latency %.3f ms\n",
+                out.model.c_str(), spec.algo.c_str(), model.tenants(),
+                model.cores(), r.cost.slaViolations, r.cost.meanLatencyMs);
+    if (static_cast<int>(r.cost.tenants.size()) != model.tenants())
+        return;
+    for (int t = 0; t < model.tenants(); ++t) {
+        const TenantSpec &ts = spec.workloadSet.tenants[t];
+        const TenantCost &tc = r.cost.tenants[t];
+        std::printf("  %-12s core %d  latency %10.3f ms (SLA %.3f ms) %s\n",
+                    ts.name.c_str(), r.schedule.coreOf[t], tc.latencyMs,
+                    ts.slaLatencyMs, tc.slaViolation ? "VIOLATED" : "ok");
+    }
+}
 
-    // Only the sampling searches evaluate genomes; greedy/dp/enum
-    // never touch the cache, so don't open (or rewrite) it for them.
-    bool sampling = SearcherRegistry::instance().contains(a.algo);
-    std::shared_ptr<EvalCache> cache = sampling ? openCache(a) : nullptr;
-    EvalCacheStats run_stats;
-    int64_t samples = 0;
+/** Human-mode report of a solo run: the command's headline, the cost
+ *  table, a multi-core run's scale-out line (stdout); the portfolio
+ *  racers and the pareto frontier (stderr). */
+void
+printSolo(const SearchSpec &spec, const RunOutcome &out, Front front)
+{
+    const CoccoResult &r = out.result;
+    const char *model = out.model.c_str();
+    const long long samples = static_cast<long long>(r.samples);
+    if (front == Front::Partition)
+        std::printf("%s: %s partition -> %zu subgraphs\n", model,
+                    spec.algo.c_str(), r.partition.blocks().size());
+    else if (front == Front::CoExplore)
+        std::printf("%s: %s recommends buffer %s after %lld samples\n",
+                    model, spec.algo.c_str(), r.buffer.str().c_str(),
+                    samples);
+    else
+        std::printf("%s: %s (%s) -> buffer %s after %lld samples\n", model,
+                    spec.algo.c_str(),
+                    spec.eval.coExplore ? "co-explore" : "partition-only",
+                    r.buffer.str().c_str(), samples);
+    printCost(r.cost, r.buffer, spec.eval.alpha, spec.eval.metric);
+
+    const DeploymentBreakdown &b = r.deployment;
+    if (b.cores > 1) {
+        double util = 0.0;
+        for (double u : b.coreUtilization)
+            util += u;
+        if (!b.coreUtilization.empty())
+            util /= static_cast<double>(b.coreUtilization.size());
+        std::printf("deployment: %d cores, avg utilization %.1f%%, "
+                    "crossbar %.1f%% of energy / %.1f%% of latency\n",
+                    b.cores, 100.0 * util, 100.0 * b.crossbarEnergyShare,
+                    100.0 * b.crossbarLatencyShare);
+    }
+    for (const RacerStats &rs : r.racers)
+        std::fprintf(stderr,
+                     "racer: %-10s %8lld evals  %5lld improvements  "
+                     "best %.6g  %s%s%s\n",
+                     rs.algo.c_str(), static_cast<long long>(rs.samples),
+                     static_cast<long long>(rs.improvements), rs.bestCost,
+                     stopReasonName(rs.stop), rs.culled ? " (culled)" : "",
+                     rs.winner ? " <- winner" : "");
+    if (spec.paretoMode)
+        std::fprintf(stderr,
+                     "frontier: %zu non-dominated points, hypervolume "
+                     "%.4f\n",
+                     r.frontier.size(), r.hypervolume);
+}
+
+/** greedy / dp / enum: the non-sampling partitioners, over the same
+ *  resolved environment, under the spec's fixed buffer. Dies when
+ *  enumeration exceeds its budget. */
+RunOutcome
+runPartitioner(RunEnv &env, const SearchSpec &spec)
+{
+    const Graph &g = env.graphs[0];
+    CostModel &model = env.framework->model();
+    const BufferConfig &buf = spec.fixedBuffer;
+    const Metric metric = spec.eval.metric;
+
+    RunOutcome out;
+    out.model = env.model;
+    out.threads = ThreadPool::resolveThreads(spec.eval.threads);
+    out.seed = spec.eval.seed;
     auto t0 = std::chrono::steady_clock::now();
-
     Partition p;
-    if (a.algo == "greedy") {
-        p = greedyPartition(g, model, buf, a.metric);
-    } else if (a.algo == "dp") {
-        p = dpPartition(g, model, buf, a.metric);
-    } else if (a.algo == "enum") {
-        EnumerationResult r = enumeratePartition(g, model, buf, a.metric);
+    if (spec.algo == "greedy") {
+        p = greedyPartition(g, model, buf, metric);
+    } else if (spec.algo == "dp") {
+        p = dpPartition(g, model, buf, metric);
+    } else {
+        EnumerationResult r = enumeratePartition(g, model, buf, metric);
         if (!r.complete) {
             std::fprintf(stderr,
                          "enumeration exceeded its budget (%lld states)\n",
                          static_cast<long long>(r.statesVisited));
-            return 1;
+            std::exit(1);
         }
         p = r.best;
-    } else if (sampling) {
-        // Any registered driver, partition-only under the fixed buffer.
-        std::unique_ptr<CoccoFramework> cocco =
-            makeFramework(g, accel, dspec);
-        SearchSpec spec = specFromArgs(a);
-        spec.eval.coExplore = false;
-        spec.fixedBuffer = buf;
-        spec.eval.cacheEnabled = cache != nullptr;
-        spec.eval.cache = cache;
-        CoccoResult r = cocco->explore(spec);
-        p = r.partition;
-        run_stats = r.cacheStats;
-        samples = r.samples;
-        printStopLine(r.stop);
-    } else {
-        usage();
     }
-
-    double wall = secondsSince(t0);
-    closeCache(a, cache);
-    GraphCost c = model.partitionCost(p, buf);
-    DeploymentBreakdown dep = model.breakdown(p, buf);
-    if (a.json) {
-        std::printf("%s\n", partitionToJson(g, p).c_str());
-    } else {
-        std::printf("%s: %s partition -> %zu subgraphs\n",
-                    a.model.c_str(), a.algo.c_str(), p.blocks().size());
-        printCost(g, c, buf, a.alpha, a.metric);
-        printDeploymentLine(dep);
-        if (cache && samples > 0)
-            printCacheLine(run_stats);
-    }
-    printTimeline(a, model, p, buf);
-    emitMetrics(a, "partition-" + a.algo, wall, samples,
-                c.metricValue(a.metric), cache != nullptr, run_stats,
-                &dep);
-    return 0;
+    out.wallSeconds = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    CoccoResult &r = out.result;
+    r.buffer = buf;
+    r.cost = model.partitionCost(p, buf);
+    r.deployment = model.breakdown(p, buf);
+    r.partition = std::move(p);
+    r.objective = out.objective = r.cost.metricValue(metric);
+    return out;
 }
 
+/**
+ * The one CLI execution path of a search command: check and resolve
+ * the spec through the library runner, open the evaluation cache
+ * (warm-started from --cache-file), wire --progress / SIGINT and
+ * --checkpoint, run, then print (human or --json) and write
+ * --metrics-out. `partition --algo greedy|dp|enum` runs its
+ * partitioner over the same resolved environment instead.
+ */
 int
-runCoExplore(CliArgs &a)
+runSearch(const CliArgs &a, SearchSpec spec, Front front)
 {
-    Graph g = cliWorkload(a);
-    AcceleratorConfig accel = cliPlatform(a);
-    std::unique_ptr<CoccoFramework> cocco =
-        makeFramework(g, accel, cliDeploymentSpec(a));
-    SearchSpec spec = specFromArgs(a);
-    spec.eval.coExplore = true;
-    spec.style = a.style == "separate" ? BufferStyle::Separate
-                                       : BufferStyle::Shared;
-    std::shared_ptr<EvalCache> cache = openCache(a);
-    spec.eval.cacheEnabled = cache != nullptr;
-    spec.eval.cache = cache;
-    auto t0 = std::chrono::steady_clock::now();
-    CoccoResult r = cocco->explore(spec);
-    double wall = secondsSince(t0);
-    closeCache(a, cache);
-    if (a.json) {
-        std::printf("%s\n", resultToJson(g, r).c_str());
-    } else {
-        std::printf("%s: %s recommends buffer %s after %lld samples\n",
-                    a.model.c_str(), spec.algo.c_str(),
-                    r.buffer.str().c_str(),
-                    static_cast<long long>(r.samples));
-        printCost(g, r.cost, r.buffer, a.alpha, a.metric);
-        printDeploymentLine(r.deployment);
-        printStopLine(r.stop);
-        if (cache)
-            printCacheLine(r.cacheStats);
-    }
-    printTimeline(a, cocco->model(), r.partition, r.buffer);
-    emitMetrics(a, "coexplore-" + spec.algo, wall, r.samples, r.objective,
-                cache != nullptr, r.cacheStats, &r.deployment);
-    return 0;
-}
-
-/** The co-schedule execution path, shared by `cocco coschedule` and a
- *  `run --spec` document with a "workload_set" section: resolve every
- *  tenant's graph, scale out over the spec's deployment (a plain
- *  platform is a 1-core deployment), and hand the joint placement
- *  search to CoScheduler. @p namePrefix labels the metrics record
- *  ("spec-" / "coschedule-") so either frontend is identifiable. */
-int
-runCoScheduleSpec(CliArgs a, SearchSpec spec,
-                  const std::string &namePrefix)
-{
+    const bool direct =
+        front == Front::Partition &&
+        (spec.algo == "greedy" || spec.algo == "dp" || spec.algo == "enum");
     std::string err;
-    std::vector<Graph> graphs(spec.workloadSet.size());
-    std::string names;
-    for (int t = 0; t < spec.workloadSet.size(); ++t) {
-        if (!resolveWorkload(spec.workloadSet.tenants[t].workload,
-                             &graphs[t], &err))
-            fatal("%s: %s", a.specFile.c_str(), err.c_str());
-        names += (t ? "+" : "") + graphs[t].name();
-    }
-    a.model = names;
+    RunEnv env;
+    if ((!direct && !checkRunSpec(spec, &err)) ||
+        !prepareRun(spec, &env, &err))
+        specError(a, err);
+    const bool schedule = env.scheduler != nullptr;
 
-    AcceleratorConfig accel;
-    if (!resolvePlatform(spec.platform, &accel, &err))
-        fatal("%s: %s", a.specFile.c_str(), err.c_str());
-    DeploymentConfig dep;
-    if (spec.deployment.enabled) {
-        if (!resolveDeployment(spec.deployment, accel, &dep, &err))
-            fatal("%s: %s", a.specFile.c_str(), err.c_str());
-    } else {
-        dep = homogeneousDeployment(accel, 1);
-    }
-
-    // Co-schedule runs have no checkpoint format (the inner searches
-    // are short per-tenant probes, not one long trajectory).
-    if (!a.checkpointFile.empty())
-        std::fprintf(stderr, "checkpoint: co-schedule runs do not "
-                             "checkpoint; --checkpoint ignored\n");
-
-    NdjsonProgress progress(a.progress ? stderr : nullptr, 0,
-                            &g_interrupted);
-    spec.eval.observer = &progress;
-
-    std::shared_ptr<EvalCache> cache;
-    if (spec.eval.cacheEnabled) {
-        a.cacheSize = static_cast<int64_t>(spec.eval.cacheCapacity);
-        cache = openCache(a);
-        spec.eval.cache = cache;
-        spec.eval.cacheEnabled = cache != nullptr;
-    }
-
-    CoScheduler sched(graphs, spec.workloadSet, dep);
-    auto t0 = std::chrono::steady_clock::now();
-    ScheduleResult r = sched.explore(spec);
-    double wall = secondsSince(t0);
-    closeCache(a, cache);
-
-    if (a.json) {
-        std::printf("%s\n",
-                    scheduleResultToJson(sched.model(), r).c_str());
-    } else {
-        std::printf("%s: %s placed %d tenant(s) on %d core(s) -> "
-                    "%d SLA violation(s), mean latency %.3f ms\n",
-                    a.model.c_str(), spec.algo.c_str(),
-                    sched.model().tenants(), sched.model().cores(),
-                    r.cost.slaViolations, r.cost.meanLatencyMs);
-        if (static_cast<int>(r.cost.tenants.size()) ==
-            sched.model().tenants()) {
-            for (int t = 0; t < sched.model().tenants(); ++t) {
-                const TenantSpec &ts = spec.workloadSet.tenants[t];
-                const TenantCost &tc = r.cost.tenants[t];
-                std::printf("  %-12s core %d  latency %10.3f ms "
-                            "(SLA %.3f ms) %s\n",
-                            ts.name.c_str(), r.schedule.coreOf[t],
-                            tc.latencyMs, ts.slaLatencyMs,
-                            tc.slaViolation ? "VIOLATED" : "ok");
-            }
-        }
-        printStopLine(r.stop);
-        if (cache)
-            printCacheLine(r.cacheStats);
-    }
-    if (a.timeline)
-        std::printf("%s", scheduleGantt(sched.model(), r).c_str());
-
-    if (!a.metricsOut.empty()) {
-        RunMetrics m;
-        m.name = namePrefix + spec.algo;
-        m.model = a.model;
-        m.threads = ThreadPool::resolveThreads(a.threads);
-        m.seed = a.seed;
-        m.samples = r.samples;
-        m.bestCost = r.objective;
-        m.wallSeconds = wall;
-        m.cacheEnabled = cache != nullptr;
-        m.cache = r.cacheStats;
-        fillTenantMetrics(sched.model(), r, &m);
-        if (!writeMetricsFile(a.metricsOut, "cocco_cli", {m}))
-            std::fprintf(stderr,
-                         "error: could not write metrics to %s\n",
-                         a.metricsOut.c_str());
-    }
-    return g_interrupted.load(std::memory_order_relaxed) ? 130 : 0;
-}
-
-/** `cocco run --spec FILE`: the declarative path. The document is
- *  authoritative for the search configuration; the command line only
- *  contributes output/persistence knobs (--json, --metrics-out,
- *  --cache-file). */
-int
-runSpec(CliArgs a)
-{
-    if (a.specFile.empty())
-        fatal("run needs --spec FILE");
-    JsonValue doc;
-    std::string err;
-    if (!loadJsonFile(a.specFile, &doc, &err))
-        fatal("%s", err.c_str());
-
-    SearchSpec spec;
-    // Partition-only specs may omit "buffer": default to the standard
-    // fixed buffer of the partition studies (1MB GLB + 1.125MB WBUF).
-    spec.fixedBuffer.style = BufferStyle::Separate;
-    spec.fixedBuffer.actBytes = 1024 * 1024;
-    spec.fixedBuffer.weightBytes = 1152 * 1024;
-    if (!searchSpecFromJson(doc, &spec, &err))
-        fatal("%s: %s", a.specFile.c_str(), err.c_str());
-    a.seed = spec.eval.seed;
-    a.threads = spec.eval.threads;
     if (a.deterministicRace)
         spec.portfolio.deterministicRace = true;
     if (!a.frontierOut.empty() && !spec.paretoMode)
         std::fprintf(stderr, "frontier: spec is not \"mode\": "
                              "\"pareto\"; --frontier-out ignored\n");
-    if (!a.checkpointFile.empty() && spec.paretoMode)
-        std::fprintf(stderr,
-                     "checkpoint: the pareto archive is not part of "
-                     "the checkpoint format; a resumed run's frontier "
-                     "only covers samples after the resume point\n");
-
-    // A "workload_set" document runs the co-scheduler; everything
-    // else about the invocation (--json, --timeline, --metrics-out,
-    // cache flags) behaves identically.
-    if (spec.workloadSet.enabled())
-        return runCoScheduleSpec(std::move(a), std::move(spec), "spec-");
-
-    // The document is self-contained: it addresses the workload (a
-    // registry model + params, or a graph file) and the platform (a
-    // preset, file, or inline config).
-    Graph g;
-    if (!resolveWorkload(spec.workload, &g, &err))
-        fatal("%s: %s", a.specFile.c_str(), err.c_str());
-    a.model = g.name();
-
-    AcceleratorConfig accel;
-    if (!resolvePlatform(spec.platform, &accel, &err))
-        fatal("%s: %s", a.specFile.c_str(), err.c_str());
-    // An explicit workload batch (including 1) overrides the
-    // platform's: batching is a property of the run, accounted on
-    // the platform side. 0 (the default) inherits the platform's.
-    if (spec.workload.params.batch > 0)
-        accel.batch = spec.workload.params.batch;
-
-    // The spec's "deployment" section scales the run out over
-    // crossbar-connected cores; the workload batch override applies
-    // to every core.
-    std::string ctx = a.specFile + ": ";
-    std::unique_ptr<CoccoFramework> cocco =
-        makeFramework(g, accel, spec.deployment, ctx.c_str(),
-                      spec.workload.params.batch);
 
     // The progress/interrupt observer: --progress streams NDJSON
     // events (serve/events.h vocabulary, job id 0) to stderr; either
@@ -881,116 +676,119 @@ runSpec(CliArgs a)
     NdjsonProgress progress(a.progress ? stderr : nullptr, 0,
                             &g_interrupted);
     spec.eval.observer = &progress;
-
-    // --checkpoint FILE: resume from the file when it exists, persist
-    // the search state there when the run is cancelled or times out.
     CheckpointHooks hooks;
     SearchCheckpoint resume;
-    if (!a.checkpointFile.empty()) {
-        std::string ckerr;
-        if (std::FILE *probe =
-                std::fopen(a.checkpointFile.c_str(), "r")) {
-            std::fclose(probe);
-            // An existing-but-corrupt checkpoint is fatal, not a
-            // silent cold start: the user asked to resume.
-            if (!loadCheckpoint(a.checkpointFile, &resume, &ckerr))
-                fatal("%s", ckerr.c_str());
-            hooks.resume = &resume;
+    const bool checkpointing =
+        !a.checkpointFile.empty() && !schedule && !direct;
+    if (!a.checkpointFile.empty() && schedule)
+        // The inner searches are short per-tenant probes, not one
+        // long trajectory: there is no co-schedule checkpoint format.
+        std::fprintf(stderr, "checkpoint: co-schedule runs do not "
+                             "checkpoint; --checkpoint ignored\n");
+    if (checkpointing) {
+        if (spec.paretoMode)
             std::fprintf(stderr,
-                         "checkpoint: resuming \"%s\" from %s at %lld "
-                         "samples\n",
-                         resume.algo.c_str(), a.checkpointFile.c_str(),
-                         static_cast<long long>(resume.samples));
-        }
-        hooks.save = [&a, &progress](const SearchCheckpoint &c) {
-            if (!saveCheckpoint(c, a.checkpointFile)) {
-                std::fprintf(stderr, "checkpoint: could not write %s\n",
-                             a.checkpointFile.c_str());
-                return;
-            }
-            std::fprintf(stderr,
-                         "checkpoint: saved %s at %lld samples\n",
-                         a.checkpointFile.c_str(),
-                         static_cast<long long>(c.samples));
-            JobEvent e;
-            e.kind = JobEvent::Kind::Checkpoint;
-            e.sample = c.samples;
-            progress.emit(e);
-        };
+                         "checkpoint: the pareto archive is not part of "
+                         "the checkpoint format; a resumed run's frontier "
+                         "only covers samples after the resume point\n");
+        wireCheckpoint(a, progress, &hooks, &resume);
         spec.eval.checkpoint = &hooks;
     }
 
+    RunOutcome out;
     std::shared_ptr<EvalCache> cache;
-    if (spec.eval.cacheEnabled) {
-        a.cacheSize = static_cast<int64_t>(spec.eval.cacheCapacity);
-        cache = openCache(a);
+    if (direct) {
+        out = runPartitioner(env, spec);
+    } else {
+        if (spec.eval.cacheEnabled)
+            cache = openCache(a, spec.eval.cacheCapacity);
         spec.eval.cache = cache;
+        std::signal(SIGINT, onSigint);
+        out = executeRun(env, spec);
+        closeCache(a, cache);
     }
-
-    auto t0 = std::chrono::steady_clock::now();
-    CoccoResult r = cocco->explore(spec);
-    double wall = secondsSince(t0);
-    closeCache(a, cache);
 
     if (a.json) {
-        std::printf("%s\n", resultToJson(g, r).c_str());
+        std::printf("%s\n",
+                    front == Front::Partition
+                        ? partitionToJson(env.graphs[0], out.result.partition)
+                              .c_str()
+                        : out.resultJson.c_str());
     } else {
-        std::printf("%s: %s (%s) -> buffer %s after %lld samples\n",
-                    a.model.c_str(), spec.algo.c_str(),
-                    spec.eval.coExplore ? "co-explore" : "partition-only",
-                    r.buffer.str().c_str(),
-                    static_cast<long long>(r.samples));
-        printCost(g, r.cost, r.buffer, spec.eval.alpha, spec.eval.metric);
-        printDeploymentLine(r.deployment);
-        printRacerLines(r.racers);
-        if (spec.paretoMode)
-            printFrontierLine(r);
-        printStopLine(r.stop);
+        if (schedule)
+            printSchedule(spec, env.scheduler->model(), out);
+        else
+            printSolo(spec, out, front);
+        if (out.stop != StopReason::BudgetExhausted)
+            std::fprintf(stderr, "stopped early: %s\n",
+                         stopReasonName(out.stop));
         if (cache)
-            printCacheLine(r.cacheStats);
+            std::fprintf(stderr,
+                         "cache: %llu/%llu evaluations served (%.1f%%)\n",
+                         static_cast<unsigned long long>(
+                             out.cacheStats.hits),
+                         static_cast<unsigned long long>(
+                             out.cacheStats.hits + out.cacheStats.misses),
+                         100.0 * out.cacheStats.hitRate());
+        // --timeline: the result's Gantt chart (per-core lanes on a
+        // deployment). Human mode only: --json output stays pure JSON.
+        if (a.timeline && schedule)
+            std::printf("%s",
+                        scheduleGantt(env.scheduler->model(), out.schedule)
+                            .c_str());
+        else if (a.timeline)
+            std::printf("timeline:\n%s",
+                        buildTimeline(env.framework->model(),
+                                      out.result.partition,
+                                      out.result.buffer)
+                            .gantt()
+                            .c_str());
     }
-    printTimeline(a, cocco->model(), r.partition, r.buffer);
-    if (!a.frontierOut.empty() && spec.paretoMode)
-        emitFrontierCsv(a.frontierOut, r);
-    emitMetrics(a, "spec-" + spec.algo, wall, r.samples, r.objective,
-                cache != nullptr, r.cacheStats, &r.deployment, &r,
-                spec.paretoMode);
+    if (!a.frontierOut.empty() && spec.paretoMode && !schedule)
+        emitFrontierCsv(a.frontierOut, out.result);
+    if (!a.metricsOut.empty() &&
+        !writeMetricsFile(a.metricsOut, "cocco_cli",
+                          {runMetrics(out, frontPrefix(front) + spec.algo)}))
+        std::fprintf(stderr, "error: could not write metrics to %s\n",
+                     a.metricsOut.c_str());
 
     // A run that ended for good (budget/stall) leaves no checkpoint
     // behind — resuming a finished run would be a silent no-op.
-    if (!a.checkpointFile.empty() &&
-        (r.stop == StopReason::BudgetExhausted ||
-         r.stop == StopReason::Stalled))
+    if (checkpointing && (out.stop == StopReason::BudgetExhausted ||
+                          out.stop == StopReason::Stalled))
         std::remove(a.checkpointFile.c_str());
     return g_interrupted.load(std::memory_order_relaxed) ? 130 : 0;
 }
 
-/** `cocco coschedule --spec FILE`: the explicit multi-tenant
- *  frontend. Takes the same documents as `run` but insists on a
- *  "workload_set" (a single tenant normalizes to a plain run). */
+/** The single-workload commands (describe / export-model / dot /
+ *  timeline) over the flags' resolved workload and platform. */
 int
-runCoSchedule(CliArgs a)
+runGraphCommand(const CliArgs &a)
 {
-    if (a.specFile.empty())
-        fatal("coschedule needs --spec FILE");
-    JsonValue doc;
+    RunEnv env;
     std::string err;
-    if (!loadJsonFile(a.specFile, &doc, &err))
-        fatal("%s", err.c_str());
-    SearchSpec spec;
-    spec.fixedBuffer.style = BufferStyle::Separate;
-    spec.fixedBuffer.actBytes = 1024 * 1024;
-    spec.fixedBuffer.weightBytes = 1152 * 1024;
-    if (!searchSpecFromJson(doc, &spec, &err))
-        fatal("%s: %s", a.specFile.c_str(), err.c_str());
-    if (!spec.workloadSet.enabled())
-        fatal("%s: coschedule needs a \"workload_set\" with >= 2 "
-              "tenants (one tenant is a plain run; use `cocco run`)",
-              a.specFile.c_str());
-    a.seed = spec.eval.seed;
-    a.threads = spec.eval.threads;
-    return runCoScheduleSpec(std::move(a), std::move(spec),
-                             "coschedule-");
+    if (!prepareRun(specFromFlags(a), &env, &err))
+        specError(a, err);
+    const Graph &g = env.graphs[0];
+    if (a.command == "describe") {
+        std::printf("%s\n%s", g.str().c_str(),
+                    computeStats(g).str().c_str());
+    } else if (a.command == "export-model") {
+        std::printf("%s\n", graphToJson(g).c_str());
+    } else if (a.command == "timeline") {
+        CostModel &model = env.framework->model();
+        BufferConfig buf;
+        Partition p = greedyPartition(g, model, buf, a.metric);
+        std::printf("%s: greedy partition timeline\n%s", env.model.c_str(),
+                    buildTimeline(model, p, buf).gantt().c_str());
+    } else if (a.runs > 0) {
+        Partition p = Partition::fixedRuns(g, a.runs);
+        p.canonicalize(g);
+        std::printf("%s", toDot(g, p).c_str());
+    } else {
+        std::printf("%s", toDot(g).c_str());
+    }
+    return 0;
 }
 
 /** `cocco batch <dir>`: drain a directory of run specs through one
@@ -1046,7 +844,8 @@ runServe(const CliArgs &a)
     opts.cacheEnabled = a.cacheSize > 0;
     if (a.cacheSize > 0)
         opts.cacheCapacity = static_cast<size_t>(a.cacheSize);
-    opts.cache = openCache(a);
+    opts.cache = openCache(
+        a, a.cacheSize > 0 ? static_cast<size_t>(a.cacheSize) : 0);
     JobManager manager(opts);
 
     int rc = 0;
@@ -1320,10 +1119,10 @@ main(int argc, char **argv)
 {
     CliArgs a = parse(argc, argv);
 
-    // Graceful-interrupt modes only: elsewhere the default SIGINT
+    // Graceful-interrupt modes only (runSearch installs the handler
+    // for the search commands): elsewhere the default SIGINT
     // disposition (kill) is the right behavior.
-    if (a.command == "run" || a.command == "coschedule" ||
-        a.command == "batch" || a.command == "serve")
+    if (a.command == "batch" || a.command == "serve")
         std::signal(SIGINT, onSigint);
 
     if (a.command == "models" || a.command == "--list-models") {
@@ -1369,9 +1168,15 @@ main(int argc, char **argv)
         return 0;
     }
     if (a.command == "run")
-        return runSpec(a);
-    if (a.command == "coschedule")
-        return runCoSchedule(a);
+        return runSearch(a, specFromFile(a), Front::Spec);
+    if (a.command == "coschedule") {
+        SearchSpec spec = specFromFile(a);
+        if (!spec.workloadSet.enabled())
+            fatal("%s: coschedule needs a \"workload_set\" with >= 2 "
+                  "tenants (one tenant is a plain run; use `cocco run`)",
+                  a.specFile.c_str());
+        return runSearch(a, std::move(spec), Front::CoSchedule);
+    }
     if (a.command == "batch")
         return runBatch(a);
     if (a.command == "serve")
@@ -1380,12 +1185,6 @@ main(int argc, char **argv)
         if (a.model.empty())
             usage();
         return validateMetrics(a.model);
-    }
-    if (a.command == "describe") {
-        Graph g = cliWorkload(a);
-        std::printf("%s\n%s", g.str().c_str(),
-                    computeStats(g).str().c_str());
-        return 0;
     }
     if (a.command == "describe-model") {
         if (a.model.empty())
@@ -1403,39 +1202,15 @@ main(int argc, char **argv)
         std::printf("%s", computeStats(g).str().c_str());
         return 0;
     }
-    if (a.command == "export-model") {
-        Graph g = cliWorkload(a);
-        std::printf("%s\n", graphToJson(g).c_str());
-        return 0;
+    if (a.command == "describe" || a.command == "export-model" ||
+        a.command == "dot" || a.command == "timeline")
+        return runGraphCommand(a);
+    if (a.command == "partition") {
+        SearchSpec spec = specFromFlags(a);
+        spec.eval.coExplore = false;
+        return runSearch(a, std::move(spec), Front::Partition);
     }
-    if (a.command == "timeline") {
-        Graph g = cliWorkload(a);
-        AcceleratorConfig accel = cliPlatform(a);
-        CostModel model(g, accel);
-        BufferConfig buf;
-        buf.style = BufferStyle::Separate;
-        buf.actBytes = 1024 * 1024;
-        buf.weightBytes = 1152 * 1024;
-        Partition p = greedyPartition(g, model, buf, a.metric);
-        Timeline tl = buildTimeline(model, p, buf);
-        std::printf("%s: greedy partition timeline\n%s", a.model.c_str(),
-                    tl.gantt().c_str());
-        return 0;
-    }
-    if (a.command == "dot") {
-        Graph g = cliWorkload(a);
-        if (a.runs > 0) {
-            Partition p = Partition::fixedRuns(g, a.runs);
-            p.canonicalize(g);
-            std::printf("%s", toDot(g, p).c_str());
-        } else {
-            std::printf("%s", toDot(g).c_str());
-        }
-        return 0;
-    }
-    if (a.command == "partition")
-        return runPartition(a);
     if (a.command == "coexplore")
-        return runCoExplore(a);
+        return runSearch(a, specFromFlags(a), Front::CoExplore);
     usage();
 }
